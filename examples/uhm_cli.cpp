@@ -70,7 +70,9 @@
  *   --emit-asm=<file>      write round-trippable DIR assembly and exit
  *   --emit-bin=<file>      write the binary DIR form and exit
  *   --stats                print the full counter set after the run
- *   --trace                print the INTERP event trace (DTB kinds)
+ *   --trace                print the INTERP flow (DTB kinds), rebuilt
+ *                          from the typed event ring: the run's tail
+ *                          when the ring overflows
  *   --profile[=<file>]     emit a JSONL profile report (phases,
  *                          counters, histograms, ratios) to <file>, or
  *                          to stderr when no file is given; combined
@@ -95,6 +97,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -540,6 +543,15 @@ runSweepCommand(int argc, char **argv)
     return 0;
 }
 
+/** The --stats counter listing: one "# name = value" line each. */
+void
+printCounters(const std::map<std::string, uint64_t> &counters)
+{
+    for (const auto &kv : counters)
+        std::fprintf(stderr, "# %s = %llu\n", kv.first.c_str(),
+                     static_cast<unsigned long long>(kv.second));
+}
+
 /**
  * The multi-tenant path: n copies of the program time-sliced over one
  * shared-DTB machine by the tenant scheduler. @p cfg is the per-tenant
@@ -565,7 +577,6 @@ runMultiTenant(const Options &opts, const uhm::DirProgram &prog,
                    "with --tenants");
 
     cfg.dtb.numPartitions = opts.partitions;
-    cfg.traceEvents = false;
     cfg.profileEvents = false;
 
     sched::SchedConfig sc;
@@ -627,11 +638,8 @@ runMultiTenant(const Options &opts, const uhm::DirProgram &prog,
                      static_cast<unsigned long long>(
                          t.finishedAtCycle));
     }
-    if (opts.stats) {
-        for (const auto &kv : sr.counters)
-            std::fprintf(stderr, "# %s = %llu\n", kv.first.c_str(),
-                         static_cast<unsigned long long>(kv.second));
-    }
+    if (opts.stats)
+        printCounters(sr.counters);
     if (!opts.timelinePath.empty()) {
         uhm::obs::ProfileData p;
         p.meta.emplace_back("program", opts.program);
@@ -724,14 +732,13 @@ try {
     cfg.tier.hotThreshold = opts.tierThreshold;
     cfg.tier.traceCap = opts.traceCap;
     cfg.traceCache.capacityBytes = opts.traceBytes;
-    cfg.traceEvents = opts.trace;
-    // The bounded typed-event ring rides along only when the user also
-    // asked for tracing; the counter/phase report alone stays small.
-    // A timeline is built *from* the ring, so --timeline enables it
-    // too — with a much deeper ring, since a truncated timeline is a
-    // lot less useful than a truncated event list.
-    cfg.profileEvents =
-        (opts.profile && opts.trace) || !opts.timelinePath.empty();
+    // The bounded typed-event ring rides along only when the user
+    // asked for tracing (the INTERP flow is rendered from it); the
+    // counter/phase report alone stays small. A timeline is built
+    // *from* the ring, so --timeline enables it too — with a much
+    // deeper ring, since a truncated timeline is a lot less useful
+    // than a truncated event list.
+    cfg.profileEvents = opts.trace || !opts.timelinePath.empty();
     if (!opts.timelinePath.empty())
         cfg.profileEventCapacity =
             std::max<size_t>(cfg.profileEventCapacity, size_t{1} << 20);
@@ -782,7 +789,7 @@ try {
                          r.breakdown.translate),
                      static_cast<unsigned long long>(
                          r.breakdown.translate2));
-        std::fputs(r.stats.toString().c_str(), stderr);
+        printCounters(r.counters);
     }
     if (r.eventsDropped > 0) {
         std::fprintf(stderr,
@@ -805,12 +812,13 @@ try {
             uhm::obs::emitChromeTrace(profile, opts.timelinePath);
     }
     if (opts.trace) {
+        std::vector<std::string> flow = uhm::interpFlow(r);
         size_t shown = 0;
-        for (const std::string &event : r.trace) {
-            std::fprintf(stderr, "# %s\n", event.c_str());
+        for (const std::string &line : flow) {
+            std::fprintf(stderr, "# %s\n", line.c_str());
             if (++shown >= 200) {
                 std::fprintf(stderr, "# ... (%zu more events)\n",
-                             r.trace.size() - shown);
+                             flow.size() - shown);
                 break;
             }
         }

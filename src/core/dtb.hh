@@ -32,7 +32,6 @@
 #include "obs/registry.hh"
 #include "psder/short_isa.hh"
 #include "support/rng.hh"
-#include "support/stats.hh"
 
 namespace uhm
 {
@@ -312,13 +311,6 @@ class Dtb
 
     /** Total overflow blocks. */
     uint64_t overflowTotal() const { return overflowTotal_; }
-
-    /**
-     * Legacy counter view: dtb_evictions, dtb_overflow_blocks,
-     * dtb_rejects, dtb_inserts. Kept for existing benches and tests;
-     * new code reads the same counters through registerCounters().
-     */
-    StatSet stats() const;
 
     uint64_t flushes() const { return flushes_.value(); }
     uint64_t flushedEntries() const { return flushedEntries_.value(); }

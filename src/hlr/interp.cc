@@ -77,7 +77,8 @@ class HlrInterp
             if (execStmt(*stmt, 0))
                 break;
         }
-        result_.stats.add("hlr_name_search_steps", searchSteps_);
+        result_.nameSearchSteps = searchSteps_;
+        result_.stmts = steps_;
         return std::move(result_);
     }
 
@@ -177,7 +178,6 @@ class HlrInterp
         if (++steps_ > maxSteps_)
             fatal("%s: statement budget exhausted",
                   loc.toString().c_str());
-        result_.stats.add("hlr_stmts");
     }
 
     int64_t
@@ -358,7 +358,6 @@ class HlrInterp
     int64_t
     evalExpr(const Expr &expr, size_t act)
     {
-        result_.stats.add("hlr_exprs");
         switch (expr.kind) {
           case Expr::Kind::Number:
             return expr.value;

@@ -1,7 +1,6 @@
 #include "uhm/machine.hh"
 
 #include <cstdlib>
-#include <sstream>
 
 #include "support/logging.hh"
 #include "support/wrap.hh"
@@ -101,7 +100,7 @@ Machine::Machine(const EncodedDir &image, const MachineConfig &config,
     // batched attribution does not reproduce.
     fastOk_ = config_.layout.stackBase + config_.layout.stackWords <=
             config_.layout.level1Words &&
-        !config_.profileEvents && !config_.traceEvents;
+        !config_.profileEvents;
 
     const DirProgram &prog = image.program();
     if (prog.maxDepth() > config_.layout.maxDepth) {
@@ -325,13 +324,6 @@ Machine::chargeFetchCached(uint64_t bit_addr, uint64_t bits)
 // ---- execution ------------------------------------------------------------
 
 void
-Machine::traceEvent(const std::string &event)
-{
-    if (config_.traceEvents)
-        trace_.push_back(event);
-}
-
-void
 Machine::executeStaged(const Staging &staging)
 {
     for (int64_t v : staging.pushes)
@@ -546,11 +538,6 @@ Machine::dtbStep(bool two_level)
         if (lr.hit) {
             hit_idx = lr.entryIdx;
             emitEvent(obs::EventKind::DtbHit, pc_);
-            if (config_.traceEvents) {
-                std::ostringstream os;
-                os << "interp hit dir@" << pc_;
-                traceEvent(os.str());
-            }
             // Promote into the first-level buffer: one tau1 store per
             // short instruction copied.
             if (two_level) {
@@ -602,14 +589,6 @@ Machine::dtbStep(bool two_level)
             if (!ins.retained)
                 emitEvent(obs::EventKind::DtbReject, pc_,
                           ins.unitsNeeded);
-            if (config_.traceEvents) {
-                std::ostringstream os;
-                os << "interp miss dir@" << pc_
-                   << " -> translate (" << tr.code.size()
-                   << " short instrs, "
-                   << (ins.retained ? "stored" : "rejected") << ")";
-                traceEvent(os.str());
-            }
             if (two_level)
                 dtbL1_->insert(pc_, tr.code);
             code = &tr.code;
@@ -1631,7 +1610,6 @@ Machine::beginRun(std::vector<int64_t> input)
         tracer_.enable(config_.profileEventCapacity);
     else
         tracer_.disable();
-    trace_.clear();
     addressTrace_.clear();
     opcodeCounts_.assign(numOps, 0);
     mem_.resetStats();
@@ -1747,11 +1725,6 @@ Machine::finishRun()
     result.breakdown = breakdown_;
     result.cycles = breakdown_.total();
     result.dirInstrs = dirInstrs_;
-    result.stats.add("micro_ops", microOps_.value());
-    result.stats.add("short_instrs", shortInstrs_.value());
-    result.stats.add("dir_fetch_refs", dirFetchRefs_.value());
-    result.stats.merge(mem_.stats());
-    result.trace = std::move(trace_);
     result.counters = registry_.snapshot();
     result.histograms = registry_.histogramSnapshot();
     result.samples = std::move(samples_);
@@ -1764,22 +1737,12 @@ Machine::finishRun()
         result.opcodeCounts = opcodeCounts_;
     }
 
-    if (dtb_) {
+    if (dtb_)
         result.dtbHitRatio = dtb_->hitRatio();
-        result.stats.add("dtb_hits", dtb_->hits());
-        result.stats.add("dtb_misses", dtb_->misses());
-        result.stats.merge(dtb_->stats());
-    }
-    if (dtbL1_) {
+    if (dtbL1_)
         result.dtbL1HitRatio = dtbL1_->hitRatio();
-        result.stats.add("dtbl1_hits", dtbL1_->hits());
-        result.stats.add("dtbl1_misses", dtbL1_->misses());
-    }
-    if (icache_) {
+    if (icache_)
         result.cacheHitRatio = icache_->hitRatio();
-        result.stats.add("icache_hits", icache_->hits());
-        result.stats.add("icache_misses", icache_->misses());
-    }
     if (tier_) {
         result.traceHitRatio = tier_->cache().hitRatio();
         result.traceCoverage = dirInstrs_ == 0 ? 0.0 :
@@ -1791,12 +1754,6 @@ Machine::finishRun()
         result.measuredG2 = tier_->compiledShortInstrs() == 0 ? 0.0 :
             static_cast<double>(breakdown_.translate2) /
             static_cast<double>(tier_->compiledShortInstrs());
-        result.stats.add("trace_dir_instrs", traceDirInstrs_.value());
-        result.stats.add("trace_short_instrs",
-                         traceShortInstrs_.value());
-        result.stats.add("trace_iterations", traceIterations_.value());
-        result.stats.add("trace_enters", traceEnters_.value());
-        result.stats.add("trace_exits", traceExits_.value());
     }
 
     result.measuredD = decodedInstrs_ == 0 ? 0.0 :

@@ -147,8 +147,6 @@ struct MachineConfig
     uint64_t maxDirInstrs = 500'000'000;
     /** Fixed trap overhead on a DTB miss (DTRPOINT branch, Figure 4). */
     uint64_t trapCycles = 2;
-    /** Record a legacy string trace (tests of the Figure 4 flow). */
-    bool traceEvents = false;
     /**
      * Record typed obs::Events — fetch, decode, dtb_hit, dtb_miss,
      * dtb_evict, dtb_reject, trap, translate, promote — stamped with
@@ -204,21 +202,16 @@ struct RunResult
     /** DIR instructions interpreted. */
     uint64_t dirInstrs = 0;
     CycleBreakdown breakdown;
-    /** Detailed counters (memory accesses, DTB/cache hits, ...). */
-    StatSet stats;
     /** DTB hit ratio (Dtb/Dtb2 kinds; 1.0 otherwise). */
     double dtbHitRatio = 1.0;
     /** First-level translation-buffer hit ratio (Dtb2 only). */
     double dtbL1HitRatio = 1.0;
     /** Instruction-cache hit ratio (Cached kind; 1.0 otherwise). */
     double cacheHitRatio = 1.0;
-    /** Legacy string trace (when MachineConfig::traceEvents). */
-    std::vector<std::string> trace;
     /**
      * Hierarchical counter snapshot from the machine's obs::Registry
      * ("dtb.hits", "icache.misses", "machine.dir_instrs", ...).
-     * Always filled; the counters agree exactly with the legacy keys
-     * in #stats.
+     * Always filled.
      */
     std::map<std::string, uint64_t> counters;
     /** Typed event trace (when MachineConfig::profileEvents). */
@@ -465,8 +458,6 @@ class Machine
      */
     uint64_t executeTrace(const tier::Trace &trace);
 
-    void traceEvent(const std::string &event);
-
     /**
      * Record a typed obs event stamped with the current cycle count.
      * The enabled check comes first so a run without a tracer sink
@@ -609,7 +600,6 @@ class Machine
     std::vector<obs::OccupancySample> samples_;
     obs::Registry registry_;
     obs::Tracer tracer_;
-    std::vector<std::string> trace_;
     std::vector<uint64_t> opcodeCounts_;
     std::vector<uint64_t> addressTrace_;
 };

@@ -80,4 +80,51 @@ profileJsonl(const ProfileMeta &meta, const RunResult &result)
     return obs::toJsonl(buildProfile(meta, result));
 }
 
+std::vector<std::string>
+interpFlow(const RunResult &result)
+{
+    // A miss is one DtbMiss .. Translate [.. DtbReject] group; its line
+    // is complete once the next lookup begins. A group whose DtbMiss
+    // the ring dropped is not shown.
+    std::vector<std::string> lines;
+    bool pending = false;
+    uint64_t miss_addr = 0;
+    uint64_t emitted = 0;
+    bool rejected = false;
+    auto flush_miss = [&]() {
+        if (!pending)
+            return;
+        lines.push_back("interp miss dir@" + std::to_string(miss_addr) +
+                        " -> translate (" + std::to_string(emitted) +
+                        " short instrs, " +
+                        (rejected ? "rejected" : "stored") + ")");
+        pending = false;
+    };
+    for (const obs::Event &e : result.events) {
+        switch (e.kind) {
+          case obs::EventKind::DtbHit:
+            flush_miss();
+            lines.push_back("interp hit dir@" + std::to_string(e.addr));
+            break;
+          case obs::EventKind::DtbMiss:
+            flush_miss();
+            pending = true;
+            miss_addr = e.addr;
+            emitted = 0;
+            rejected = false;
+            break;
+          case obs::EventKind::Translate:
+            emitted = e.arg;
+            break;
+          case obs::EventKind::DtbReject:
+            rejected = true;
+            break;
+          default:
+            break;
+        }
+    }
+    flush_miss();
+    return lines;
+}
+
 } // namespace uhm

@@ -1,6 +1,7 @@
 /**
  * @file
- * Bridging a RunResult into an obs::ProfileData report.
+ * Bridging a RunResult into an obs::ProfileData report, and into the
+ * Figure 4 INTERP flow.
  *
  * Everything the report contains comes from the RunResult itself — the
  * cycle breakdown, the registry counter snapshot, the typed event
@@ -15,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "obs/report.hh"
 #include "uhm/machine.hh"
@@ -39,6 +41,18 @@ obs::ProfileData buildProfile(const ProfileMeta &meta,
 /** Convenience: buildProfile + obs::toJsonl. */
 std::string profileJsonl(const ProfileMeta &meta,
                          const RunResult &result);
+
+/**
+ * The Figure 4 INTERP flow of a run, one line per DTB lookup, rebuilt
+ * from the typed events (MachineConfig::profileEvents):
+ *
+ *   interp hit dir@N
+ *   interp miss dir@N -> translate (K short instrs, stored|rejected)
+ *
+ * Covers the events the ring retained: when it overflowed, the flow is
+ * the run's tail (RunResult::eventsDropped > 0).
+ */
+std::vector<std::string> interpFlow(const RunResult &result);
 
 } // namespace uhm
 

@@ -97,6 +97,8 @@ TEST(Dtb, LruEvictionWithinFullyAssociativeSet)
     cfg.assoc = 0;
     cfg.allowOverflow = false;
     Dtb dtb(cfg);
+    obs::Registry reg;
+    dtb.registerCounters(reg, "dtb");
     ASSERT_EQ(dtb.numEntries(), 4u);
 
     for (uint64_t a = 0; a < 4; ++a)
@@ -107,7 +109,7 @@ TEST(Dtb, LruEvictionWithinFullyAssociativeSet)
     EXPECT_TRUE(dtb.lookup(0).hit);
     EXPECT_FALSE(dtb.lookup(1).hit); // evicted
     EXPECT_TRUE(dtb.lookup(99).hit);
-    EXPECT_GE(dtb.stats().get("dtb_evictions"), 1u);
+    EXPECT_GE(reg.get("dtb.evictions"), 1u);
 }
 
 TEST(Dtb, SetMappingIsStable)
@@ -162,11 +164,13 @@ TEST(Dtb, OverflowExhaustionRejectsButDoesNotBreak)
     cfg.assoc = 0;
     cfg.overflowFraction = 0.25; // 6 primary, 2 overflow
     Dtb dtb(cfg);
+    obs::Registry reg;
+    dtb.registerCounters(reg, "dtb");
     ASSERT_EQ(dtb.overflowTotal(), 2u);
 
     EXPECT_TRUE(dtb.insert(1, fakeCode(12, 1)).retained);  // takes both blocks
     EXPECT_FALSE(dtb.insert(2, fakeCode(12, 2)).retained); // rejected
-    EXPECT_GE(dtb.stats().get("dtb_rejects"), 1u);
+    EXPECT_GE(reg.get("dtb.rejects"), 1u);
     EXPECT_FALSE(dtb.lookup(2).hit);
     // Short translations still insert fine.
     EXPECT_TRUE(dtb.insert(3, fakeCode(3, 3)).retained);
@@ -184,6 +188,8 @@ TEST(Dtb, RejectedInsertPreservesResidentVictim)
     cfg.assoc = 0;
     cfg.overflowFraction = 0.25; // 6 primary, 2 overflow
     Dtb dtb(cfg);
+    obs::Registry reg;
+    dtb.registerCounters(reg, "dtb");
     ASSERT_EQ(dtb.numEntries(), 6u);
     ASSERT_EQ(dtb.overflowTotal(), 2u);
 
@@ -200,8 +206,8 @@ TEST(Dtb, RejectedInsertPreservesResidentVictim)
     EXPECT_FALSE(out.retained);
     EXPECT_FALSE(out.evicted);
     EXPECT_EQ(out.unitsNeeded, 4u);
-    EXPECT_GE(dtb.stats().get("dtb_rejects"), 1u);
-    EXPECT_EQ(dtb.stats().get("dtb_evictions"), 0u);
+    EXPECT_GE(reg.get("dtb.rejects"), 1u);
+    EXPECT_EQ(reg.get("dtb.evictions"), 0u);
     EXPECT_EQ(dtb.overflowFree(), 0u);
 
     // Every resident entry — the would-be victim included — still hits.
@@ -390,9 +396,9 @@ TEST_F(TraceSimFixture, ReplayReproducesFullSimulationExactly)
     MachineConfig cfg;
     TraceSimResult replay =
         simulateDtbTrace(run_.addressTrace, cfg.dtb, sizeOf());
-    EXPECT_EQ(replay.hits, run_.stats.get("dtb_hits"));
-    EXPECT_EQ(replay.misses, run_.stats.get("dtb_misses"));
-    EXPECT_EQ(replay.rejects, run_.stats.get("dtb_rejects"));
+    EXPECT_EQ(replay.hits, run_.counters.at("dtb.hits"));
+    EXPECT_EQ(replay.misses, run_.counters.at("dtb.misses"));
+    EXPECT_EQ(replay.rejects, run_.counters.at("dtb.rejects"));
 }
 
 TEST_F(TraceSimFixture, ReplayMatchesAlternativeConfigurations)
@@ -410,9 +416,9 @@ TEST_F(TraceSimFixture, ReplayMatchesAlternativeConfigurations)
         RunResult full = machine.run();
         TraceSimResult replay =
             simulateDtbTrace(run_.addressTrace, cfg.dtb, sizeOf());
-        EXPECT_EQ(replay.hits, full.stats.get("dtb_hits"))
+        EXPECT_EQ(replay.hits, full.counters.at("dtb.hits"))
             << cap << "/" << assoc << "/" << unit;
-        EXPECT_EQ(replay.misses, full.stats.get("dtb_misses"));
+        EXPECT_EQ(replay.misses, full.counters.at("dtb.misses"));
     }
 }
 

@@ -48,7 +48,6 @@ expectIdentical(const RunResult &sw, const RunResult &th,
     EXPECT_EQ(sw.breakdown.semantic, th.breakdown.semantic);
     EXPECT_EQ(sw.breakdown.translate, th.breakdown.translate);
     EXPECT_EQ(sw.breakdown.translate2, th.breakdown.translate2);
-    EXPECT_EQ(sw.stats.toString(), th.stats.toString());
     EXPECT_EQ(sw.counters, th.counters);
     EXPECT_EQ(sw.histograms, th.histograms);
     EXPECT_EQ(sw.samples, th.samples);

@@ -32,13 +32,15 @@ TEST(MainMemory, LevelChargingFollowsBoundary)
 {
     MemTiming timing{1, 10, 2};
     MainMemory mem(64, timing);
+    obs::Registry reg;
+    mem.registerCounters(reg, "mem");
     mem.write(0, 1);   // level 1: +1
     mem.read(63);      // level 1: +1
     mem.read(64);      // level 2: +10
     mem.write(1000, 2);// level 2: +10
     EXPECT_EQ(mem.cycles(), 22u);
-    EXPECT_EQ(mem.stats().get("mem_level1_accesses"), 2u);
-    EXPECT_EQ(mem.stats().get("mem_level2_accesses"), 2u);
+    EXPECT_EQ(reg.get("mem.level1_accesses"), 2u);
+    EXPECT_EQ(reg.get("mem.level2_accesses"), 2u);
 }
 
 TEST(MainMemory, PeekAndPokeAreFree)

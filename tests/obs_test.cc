@@ -2,8 +2,8 @@
  * @file
  * Tests for the observability layer: the counters registry, the typed
  * event tracer, the profile reports, and their integration with the
- * machine — the registry view must agree exactly with the legacy
- * accessors and RunResult statistics.
+ * machine — the registry view must agree exactly with the component
+ * accessors and the RunResult counter snapshot.
  */
 
 #include <gtest/gtest.h>
@@ -429,9 +429,13 @@ TEST(ObsReport, EmbeddedJsonCarriesNoEventBodies)
 
 // ---- machine integration ---------------------------------------------------
 
-/** One sample run with the image and machine kept alive for inspection. */
+/**
+ * One sample run with the program, image and machine kept alive for
+ * inspection and repeat runs (the image points into the program).
+ */
 struct SampleRun
 {
+    std::unique_ptr<DirProgram> program;
     std::unique_ptr<EncodedDir> image;
     std::unique_ptr<Machine> machine;
     RunResult result;
@@ -442,15 +446,16 @@ runSample(const char *name, MachineKind kind, MachineConfig cfg)
 {
     SampleRun sr;
     const auto &sample = workload::sampleByName(name);
-    DirProgram prog = hlr::compileSource(sample.source);
-    sr.image = encodeDir(prog, EncodingScheme::Huffman);
+    sr.program =
+        std::make_unique<DirProgram>(hlr::compileSource(sample.source));
+    sr.image = encodeDir(*sr.program, EncodingScheme::Huffman);
     cfg.kind = kind;
     sr.machine = std::make_unique<Machine>(*sr.image, cfg);
     sr.result = sr.machine->run(sample.input);
     return sr;
 }
 
-TEST(ObsMachine, RegistryAgreesWithLegacyDtbCounters)
+TEST(ObsMachine, RegistryAgreesWithDtbAccessors)
 {
     SampleRun sr = runSample("collatz", MachineKind::Dtb,
                              MachineConfig{});
@@ -459,24 +464,17 @@ TEST(ObsMachine, RegistryAgreesWithLegacyDtbCounters)
     ASSERT_NE(machine->dtb(), nullptr);
     const obs::Registry &reg = machine->registry();
 
-    // Registry view == legacy accessors == RunResult legacy stats.
+    // Registry view == component accessors.
     EXPECT_GT(reg.get("dtb.hits"), 0u);
     EXPECT_EQ(reg.get("dtb.hits"), machine->dtb()->hits());
     EXPECT_EQ(reg.get("dtb.misses"), machine->dtb()->misses());
-    EXPECT_EQ(reg.get("dtb.hits"), r.stats.get("dtb_hits"));
-    EXPECT_EQ(reg.get("dtb.misses"), r.stats.get("dtb_misses"));
-    EXPECT_EQ(reg.get("dtb.inserts"), r.stats.get("dtb_inserts"));
-    EXPECT_EQ(reg.get("dtb.rejects"), r.stats.get("dtb_rejects"));
     EXPECT_EQ(reg.get("machine.dir_instrs"), r.dirInstrs);
-    EXPECT_EQ(reg.get("machine.micro_ops"), r.stats.get("micro_ops"));
-    EXPECT_EQ(reg.get("machine.short_instrs"),
-              r.stats.get("short_instrs"));
 
     // The snapshot in the RunResult matches the live registry.
     EXPECT_EQ(r.counters, reg.snapshot());
 }
 
-TEST(ObsMachine, RegistryAgreesWithLegacyCacheCounters)
+TEST(ObsMachine, RegistryAgreesWithCacheAccessors)
 {
     SampleRun sr = runSample("sieve", MachineKind::Cached,
                              MachineConfig{});
@@ -484,11 +482,8 @@ TEST(ObsMachine, RegistryAgreesWithLegacyCacheCounters)
     const RunResult &r = sr.result;
     ASSERT_NE(machine->icache(), nullptr);
     EXPECT_EQ(r.counters.at("icache.hits"), machine->icache()->hits());
-    EXPECT_EQ(r.counters.at("icache.hits"), r.stats.get("icache_hits"));
     EXPECT_EQ(r.counters.at("icache.misses"),
-              r.stats.get("icache_misses"));
-    EXPECT_EQ(r.counters.at("mem.level1_accesses"),
-              r.stats.get("mem_level1_accesses"));
+              machine->icache()->misses());
     // No DTB on the cached organization: no dtb.* counters registered.
     EXPECT_EQ(r.counters.count("dtb.hits"), 0u);
 }
@@ -552,20 +547,20 @@ TEST(ObsMachine, ProfileJsonlMatchesRunResultStatistics)
     meta.encoding = "huffman";
     std::string doc = profileJsonl(meta, r);
 
-    // The acceptance contract: the JSONL counters equal the legacy
-    // RunResult statistics, byte for byte.
+    // The acceptance contract: the JSONL counters equal the RunResult
+    // counter snapshot, byte for byte.
     auto expectCounter = [&doc](const std::string &name, uint64_t v) {
         std::string needle =
             "\"" + name + "\":" + std::to_string(v);
         EXPECT_NE(doc.find(needle), std::string::npos)
             << "missing " << needle;
     };
-    expectCounter("dtb.hits", r.stats.get("dtb_hits"));
-    expectCounter("dtb.misses", r.stats.get("dtb_misses"));
-    expectCounter("dtb.inserts", r.stats.get("dtb_inserts"));
+    expectCounter("dtb.hits", r.counters.at("dtb.hits"));
+    expectCounter("dtb.misses", r.counters.at("dtb.misses"));
+    expectCounter("dtb.inserts", r.counters.at("dtb.inserts"));
     expectCounter("machine.dir_instrs", r.dirInstrs);
     expectCounter("machine.short_instrs",
-                  r.stats.get("short_instrs"));
+                  r.counters.at("machine.short_instrs"));
     EXPECT_NE(doc.find("\"type\":\"phases\""), std::string::npos);
     EXPECT_NE(doc.find("\"total\":" + std::to_string(r.cycles)),
               std::string::npos);

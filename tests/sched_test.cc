@@ -128,6 +128,8 @@ TEST(DtbAsid, PartitionedSetSpacesAreDisjoint)
 TEST(DtbFlush, ReportsEveryVictimAndEmptiesTheBuffer)
 {
     Dtb dtb(DtbConfig{});
+    obs::Registry reg;
+    dtb.registerCounters(reg, "dtb");
     dtb.insert(100, tinyCode(), 10);
     dtb.insert(200, tinyCode(), 20);
     ASSERT_TRUE(dtb.markTraceAnchor(200));
@@ -152,7 +154,7 @@ TEST(DtbFlush, ReportsEveryVictimAndEmptiesTheBuffer)
     // Flush accounting is distinct from capacity-eviction accounting.
     EXPECT_EQ(dtb.flushes(), 1u);
     EXPECT_EQ(dtb.flushedEntries(), 2u);
-    EXPECT_EQ(dtb.stats().get("dtb_evictions"), 0u);
+    EXPECT_EQ(reg.get("dtb.evictions"), 0u);
 }
 
 TEST(DtbFlush, FlushCrossesAsidBoundaries)
@@ -250,6 +252,8 @@ TEST(ResetStats, SecondRunIsIdenticalToAFreshMachine)
 TEST(ResetStats, DtbCountersClearButResidencySurvives)
 {
     Dtb dtb(DtbConfig{});
+    obs::Registry reg;
+    dtb.registerCounters(reg, "dtb");
     dtb.insert(100, tinyCode());
     dtb.lookup(100);
     dtb.lookup(999);
@@ -258,7 +262,7 @@ TEST(ResetStats, DtbCountersClearButResidencySurvives)
     EXPECT_EQ(dtb.misses(), 0u);
     EXPECT_EQ(dtb.flushes(), 0u);
     EXPECT_EQ(dtb.flushedEntries(), 0u);
-    EXPECT_EQ(dtb.stats().get("dtb_inserts"), 0u);
+    EXPECT_EQ(reg.get("dtb.inserts"), 0u);
     // The translation itself is behavioral state, not statistics.
     EXPECT_TRUE(dtb.lookup(100).hit);
 }

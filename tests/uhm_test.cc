@@ -11,6 +11,7 @@
 #include "hlr/parser.hh"
 #include "support/logging.hh"
 #include "uhm/machine.hh"
+#include "uhm/profile.hh"
 #include "workload/samples.hh"
 #include "workload/synthetic.hh"
 
@@ -330,25 +331,35 @@ TEST(InterpFlow, FirstTouchMissesThenHits)
         "program t; var i; begin i := 3; "
         "while i > 0 do i := i - 1; od; write i; end.");
     auto image = encodeDir(p, EncodingScheme::Packed);
-    MachineConfig cfg = configFor(MachineKind::Dtb);
-    cfg.traceEvents = true;
-    Machine machine(*image, cfg);
-    RunResult r = machine.run();
+    for (MachineKind kind :
+         {MachineKind::Dtb, MachineKind::Dtb2, MachineKind::Tiered}) {
+        SCOPED_TRACE(machineKindName(kind));
+        MachineConfig cfg = configFor(kind);
+        cfg.profileEvents = true;
+        Machine machine(*image, cfg);
+        RunResult r = machine.run();
+        std::vector<std::string> flow = interpFlow(r);
 
-    ASSERT_FALSE(r.trace.empty());
-    // The very first INTERP must miss and translate.
-    EXPECT_NE(r.trace[0].find("miss"), std::string::npos);
-    EXPECT_NE(r.trace[0].find("translate"), std::string::npos);
-    // Later loop iterations must hit.
-    size_t hits = 0, misses = 0;
-    for (const std::string &event : r.trace) {
-        hits += event.find("interp hit") != std::string::npos;
-        misses += event.find("interp miss") != std::string::npos;
+        ASSERT_FALSE(flow.empty());
+        // The very first INTERP must miss and translate.
+        EXPECT_NE(flow[0].find("miss"), std::string::npos);
+        EXPECT_NE(flow[0].find("translate"), std::string::npos);
+        // Later loop iterations must hit. Dtb2 hits them in its
+        // first-level buffer, ahead of the DTB lookups the flow shows.
+        size_t hits = 0, misses = 0;
+        for (const std::string &line : flow) {
+            hits += line.find("interp hit") != std::string::npos;
+            misses += line.find("interp miss") != std::string::npos;
+        }
+        uint64_t l1_hits = kind == MachineKind::Dtb2 ?
+            r.counters.at("dtbl1.hits") : 0;
+        EXPECT_GT(hits + l1_hits, 0u);
+        EXPECT_EQ(hits, r.counters.at("dtb.hits"));
+        // Each distinct instruction misses exactly once (DTB large
+        // enough).
+        EXPECT_EQ(misses, r.counters.at("dtb.misses"));
+        EXPECT_EQ(misses, r.counters.at("dtb.inserts"));
     }
-    EXPECT_GT(hits, 0u);
-    // Each distinct instruction misses exactly once (DTB large enough).
-    EXPECT_EQ(misses, static_cast<size_t>(r.stats.get("dtb_misses")));
-    EXPECT_EQ(misses, static_cast<size_t>(r.stats.get("dtb_inserts")));
 }
 
 TEST(InterpFlow, LoopRereachesUnityHitRatio)
@@ -376,7 +387,7 @@ TEST(InterpFlow, MissChargesDecodeAndTranslate)
     EXPECT_GT(r.breakdown.translate, 0u);
     EXPECT_GT(r.measuredG, 0.0);
     // Decode happened only on misses.
-    EXPECT_EQ(r.stats.get("dtb_misses") + r.stats.get("dtb_hits"),
+    EXPECT_EQ(r.counters.at("dtb.misses") + r.counters.at("dtb.hits"),
               r.dirInstrs);
 }
 
@@ -425,7 +436,7 @@ TEST(InterpFlow, RejectedTranslationsStillExecute)
     Machine machine(*image, cfg);
     RunResult r = machine.run();
     EXPECT_EQ(r.output, std::vector<int64_t>{111});
-    EXPECT_GT(r.stats.get("dtb_rejects"), 0u);
+    EXPECT_GT(r.counters.at("dtb.rejects"), 0u);
 }
 
 TEST(OpcodeCounts, ConventionalCountsSumToInstructions)
