@@ -8,6 +8,20 @@
 namespace uhm::hlr
 {
 
+struct Parser::NestGuard
+{
+    Parser &parser;
+
+    explicit NestGuard(Parser &p) : parser(p)
+    {
+        if (++parser.depth_ > maxNestingDepth) {
+            fatal("%s: nesting deeper than %u levels",
+                  parser.peek().loc.toString().c_str(), maxNestingDepth);
+        }
+    }
+    ~NestGuard() { --parser.depth_; }
+};
+
 Parser::Parser(std::vector<Token> tokens) : tokens_(std::move(tokens))
 {
     uhm_assert(!tokens_.empty() &&
@@ -75,6 +89,7 @@ Parser::parseExprOnly()
 Block
 Parser::parseBlock()
 {
+    NestGuard nest(*this);
     Block block;
     for (;;) {
         if (match(Tok::KwVar)) {
@@ -158,6 +173,7 @@ Parser::parseProcDecl(bool is_func)
 std::vector<StmtPtr>
 Parser::parseStmts()
 {
+    NestGuard nest(*this);
     std::vector<StmtPtr> stmts;
     while (!check(Tok::KwEnd) && !check(Tok::KwFi) && !check(Tok::KwOd) &&
            !check(Tok::KwElse) && !check(Tok::KwUntil) &&
@@ -283,6 +299,7 @@ Parser::parseArgs()
 ExprPtr
 Parser::parseExpr()
 {
+    NestGuard nest(*this);
     return parseOr();
 }
 
@@ -385,6 +402,7 @@ ExprPtr
 Parser::parseUnary()
 {
     if (check(Tok::Minus) || check(Tok::KwNot)) {
+        NestGuard nest(*this);
         Token t = advance();
         auto e = std::make_unique<Expr>();
         e->kind = Expr::Kind::Unary;

@@ -48,6 +48,14 @@ class Parser
   public:
     explicit Parser(std::vector<Token> tokens);
 
+    /**
+     * Deepest nesting the parser accepts, counted over blocks,
+     * statement lists, expressions and unary operators together. The
+     * parser, compiler and interpreter all recurse over the nesting, so
+     * deeper input is a parse error rather than a stack overflow.
+     */
+    static constexpr unsigned maxNestingDepth = 256;
+
     /** Parse a whole program. */
     AstProgram parseProgram();
 
@@ -79,8 +87,13 @@ class Parser
     ExprPtr parseUnary();
     ExprPtr parsePrimary();
 
+    /** Opens one nesting level for its scope; fatal past the cap. */
+    struct NestGuard;
+
     std::vector<Token> tokens_;
     size_t pos_ = 0;
+    /** Nesting levels open right now. */
+    unsigned depth_ = 0;
 };
 
 /** Convenience: lex and parse @p source. */

@@ -497,39 +497,53 @@ Machine::executeTrace(const tier::Trace &trace)
 void
 Machine::runDtb()
 {
-    bool two_level = config_.kind == MachineKind::Dtb2;
     while (!halted_ && breakdown_.total() < sliceLimit_)
-        dtbStep(two_level);
+        dtbStep();
 }
 
 uint32_t
-Machine::dtbStep(bool two_level)
+Machine::dtbStep()
 {
-    uint32_t hit_idx = UINT32_MAX;
-    {
-        maybeSample();
-        if (dirInstrs_ >= config_.maxDirInstrs)
-            fatal("DIR instruction budget exhausted (%llu)",
-                  static_cast<unsigned long long>(config_.maxDirInstrs));
-        ++dirInstrs_;
-        if (config_.captureAddressTrace)
-            addressTrace_.push_back(pc_);
+    maybeSample();
+    if (dirInstrs_ >= config_.maxDirInstrs)
+        fatal("DIR instruction budget exhausted (%llu)",
+              static_cast<unsigned long long>(config_.maxDirInstrs));
 
-        std::vector<ShortInstr> local;
-        const std::vector<ShortInstr> *code = nullptr;
-        uint64_t fetch_cost = config_.timing.tauD;
-
-        // First-level translation buffer (Dtb2): a tau1-speed lookup.
-        if (two_level) {
-            breakdown_.dispatch += config_.timing.tau1;
-            Dtb::LookupResult l1 = dtbL1_->lookup(pc_);
-            if (l1.hit) {
-                code = l1.code;
-                fetch_cost = config_.timing.tau1;
-            }
+    // Recorder hook (Tiered): report the pc about to be interpreted.
+    if (tier_ && tier_->recording()) {
+        tier::TierEngine::RecordOutcome ro = tier_->recordStep(pc_);
+        if (ro.status == tier::TierEngine::RecordStatus::Closed) {
+            // Tier-2 translation charge: construct each short
+            // instruction of the fused body and store it into the
+            // trace cache's buffer array.
+            breakdown_.translate2 += ro.compile.compiledShorts *
+                (config_.tier.gen2CyclesPerInstr + config_.timing.tauD);
+            tierTraceLen_.record(ro.compile.steps);
+            emitEvent(obs::EventKind::Translate2, ro.compile.head,
+                      ro.compile.compiledShorts);
+            if (ro.compile.evictedTrace)
+                emitEvent(obs::EventKind::TraceEvict,
+                          ro.compile.evictedHead);
+        } else if (ro.status == tier::TierEngine::RecordStatus::Aborted) {
+            emitEvent(obs::EventKind::TraceAbort, pc_);
         }
+    }
 
-        if (!code) {
+    uint32_t hit_idx = UINT32_MAX;
+    const std::vector<ShortInstr> *code = nullptr;
+    uint64_t fetch_cost = config_.timing.tauD;
+
+    // First-level translation buffer (Dtb2): a tau1-speed lookup.
+    if (dtbL1_) {
+        breakdown_.dispatch += config_.timing.tau1;
+        Dtb::LookupResult l1 = dtbL1_->lookup(pc_);
+        if (l1.hit) {
+            code = l1.code;
+            fetch_cost = config_.timing.tau1;
+        }
+    }
+
+    if (!code) {
         // INTERP presents the DIR address to the associative address
         // array (one DTB-array access).
         breakdown_.dispatch += config_.timing.tauD;
@@ -538,18 +552,14 @@ Machine::dtbStep(bool two_level)
         if (lr.hit) {
             hit_idx = lr.entryIdx;
             emitEvent(obs::EventKind::DtbHit, pc_);
+            code = lr.code;
             // Promote into the first-level buffer: one tau1 store per
-            // short instruction copied.
-            if (two_level) {
-                breakdown_.dispatch +=
-                    lr.code->size() * config_.timing.tau1;
-                local = *lr.code;
-                dtbL1_->insert(pc_, *lr.code);
-                emitEvent(obs::EventKind::Promote, pc_,
-                          local.size());
-                code = &local;
-            } else {
-                code = lr.code;
+            // short instruction copied. The copy lands in the L1
+            // buffer's own storage, so lr.code stays valid to execute.
+            if (dtbL1_) {
+                breakdown_.dispatch += code->size() * config_.timing.tau1;
+                dtbL1_->insert(pc_, *code);
+                emitEvent(obs::EventKind::Promote, pc_, code->size());
             }
         } else {
             // Figure 4: trap through DTRPOINT to the dynamic translator.
@@ -576,9 +586,19 @@ Machine::dtbStep(bool two_level)
             translateShortEmitted_ += tr.code.size();
             emitEvent(obs::EventKind::Translate, pc_, tr.code.size());
 
-            Dtb::InsertOutcome ins =
-                dtb_->insert(pc_, tr.code,
-                             cycleBase_ + breakdown_.total());
+            // With a tier engine the insert goes through it, so an
+            // eviction invalidates any trace the victim anchored.
+            uint64_t now = cycleBase_ + breakdown_.total();
+            Dtb::InsertOutcome ins;
+            bool invalidated_trace = false;
+            if (tier_) {
+                tier::TierEngine::InstallResult inst =
+                    tier_->installTranslation(pc_, tr.code, now);
+                ins = inst.dtb;
+                invalidated_trace = inst.invalidatedTrace;
+            } else {
+                ins = dtb_->insert(pc_, tr.code, now);
+            }
             translateLatency_.record(breakdown_.total() - miss_start);
             if (ins.evicted) {
                 dtbResidency_.record(ins.victimResidency);
@@ -586,159 +606,60 @@ Machine::dtbStep(bool two_level)
                 emitEvent(obs::EventKind::DtbEvict, ins.victimTag,
                           ins.unitsNeeded);
             }
+            if (invalidated_trace)
+                emitEvent(obs::EventKind::TraceInvalidate, ins.victimTag);
             if (!ins.retained)
-                emitEvent(obs::EventKind::DtbReject, pc_,
-                          ins.unitsNeeded);
-            if (two_level)
+                emitEvent(obs::EventKind::DtbReject, pc_, ins.unitsNeeded);
+            if (dtbL1_)
                 dtbL1_->insert(pc_, tr.code);
             code = &tr.code;
         }
-        }
-
-        uint64_t next = executeShortSequence(*code, fetch_cost);
-        if (next == haltBitAddr)
-            halted_ = true;
-        else
-            pc_ = next;
     }
-    return hit_idx;
-}
 
-void
-Machine::runTiered()
-{
-    while (!halted_ && breakdown_.total() < sliceLimit_)
-        tieredStep();
-}
+    if (tier_ && hit_idx != UINT32_MAX) {
+        EntryMeta &meta = dtb_->metaAt(hit_idx);
+        // Hotness profile: a backward transfer into a resident entry is
+        // a backedge (loops close with one).
+        bool backedge = pc_ <= prevPc_;
+        if (backedge)
+            ++meta.backedgeCount;
 
-uint32_t
-Machine::tieredStep()
-{
-    uint32_t hit_idx = UINT32_MAX;
-    {
-        maybeSample();
-        if (dirInstrs_ >= config_.maxDirInstrs)
-            fatal("DIR instruction budget exhausted (%llu)",
-                  static_cast<unsigned long long>(config_.maxDirInstrs));
-
-        // Recorder hook: report the pc about to be interpreted.
-        if (tier_->recording()) {
-            tier::TierEngine::RecordOutcome ro = tier_->recordStep(pc_);
-            if (ro.status == tier::TierEngine::RecordStatus::Closed) {
-                // Tier-2 translation charge: construct each short
-                // instruction of the fused body and store it into the
-                // trace cache's buffer array.
-                breakdown_.translate2 += ro.compile.compiledShorts *
-                    (config_.tier.gen2CyclesPerInstr +
-                     config_.timing.tauD);
-                tierTraceLen_.record(ro.compile.steps);
-                emitEvent(obs::EventKind::Translate2, ro.compile.head,
-                          ro.compile.compiledShorts);
-                if (ro.compile.evictedTrace)
-                    emitEvent(obs::EventKind::TraceEvict,
-                              ro.compile.evictedHead);
-            } else if (ro.status ==
-                       tier::TierEngine::RecordStatus::Aborted) {
-                emitEvent(obs::EventKind::TraceAbort, pc_);
+        if (meta.anchorsTrace && !tier_->recording()) {
+            // Trace dispatch: one trace-cache access plus the dispatch
+            // overhead — paid once per entry, not once per instruction.
+            breakdown_.dispatch +=
+                config_.timing.tauD + config_.tier.dispatchCycles;
+            if (const tier::Trace *trace = tier_->lookupTrace(pc_)) {
+                ++traceEnters_;
+                emitEvent(obs::EventKind::TraceEnter, pc_, trace->dirCount);
+                uint64_t iters_before = traceIterations_.value();
+                uint64_t next = executeTrace(*trace);
+                emitEvent(obs::EventKind::TraceExit, next,
+                          traceIterations_.value() - iters_before);
+                if (next == haltBitAddr)
+                    halted_ = true;
+                else
+                    pc_ = next;
+                return hit_idx;
             }
+            // Stale anchor (cleared by lookupTrace): fall back to the
+            // ordinary tier-1 path.
         }
-
-        // INTERP presents the DIR address to the associative address
-        // array (one DTB-array access), as in the Dtb organization.
-        breakdown_.dispatch += config_.timing.tauD;
-        Dtb::LookupResult lr = dtb_->lookup(pc_);
-        const std::vector<ShortInstr> *code = nullptr;
-
-        if (lr.hit) {
-            hit_idx = lr.entryIdx;
-            emitEvent(obs::EventKind::DtbHit, pc_);
-            // Hotness profile: a backward transfer into a resident
-            // entry is a backedge (loops close with one).
-            bool backedge = pc_ <= prevPc_;
-            if (backedge)
-                ++lr.meta->backedgeCount;
-
-            if (lr.meta->anchorsTrace && !tier_->recording()) {
-                // Trace dispatch: one trace-cache access plus the
-                // dispatch overhead — paid once per entry, not once
-                // per instruction.
-                breakdown_.dispatch += config_.timing.tauD +
-                    config_.tier.dispatchCycles;
-                if (const tier::Trace *trace = tier_->lookupTrace(pc_)) {
-                    ++traceEnters_;
-                    emitEvent(obs::EventKind::TraceEnter, pc_,
-                              trace->dirCount);
-                    uint64_t iters_before = traceIterations_.value();
-                    uint64_t next = executeTrace(*trace);
-                    emitEvent(obs::EventKind::TraceExit, next,
-                              traceIterations_.value() - iters_before);
-                    if (next == haltBitAddr)
-                        halted_ = true;
-                    else
-                        pc_ = next;
-                    return hit_idx;
-                }
-                // Stale anchor (cleared by lookupTrace): fall back to
-                // the ordinary tier-1 path.
-            }
-            if (backedge && tier_->wantsRecording(*lr.meta, pc_)) {
-                tier_->beginRecording(pc_);
-                emitEvent(obs::EventKind::TraceRecord, pc_);
-            }
-            code = lr.code;
-        } else {
-            // Figure 4 miss flow, with the insert routed through the
-            // tier engine so an eviction invalidates any trace the
-            // victim anchored.
-            emitEvent(obs::EventKind::DtbMiss, pc_);
-            uint64_t miss_start = breakdown_.total();
-            breakdown_.dispatch += config_.trapCycles;
-            ++traps_;
-            emitEvent(obs::EventKind::Trap, pc_, config_.trapCycles);
-            ++decodedInstrs_;
-            ++translatedInstrs_;
-
-            const Translation &tr = translator_.translate(pc_);
-            chargeFetchLevel2(tr.bits);
-            uint64_t decode_cycles =
-                config_.costs.decodeCycles(tr.decodeCost);
-            breakdown_.decode += decode_cycles;
-            emitEvent(obs::EventKind::Decode, pc_, decode_cycles);
-            breakdown_.translate +=
-                tr.genSteps * (1 + config_.timing.tauD);
-            translateShortEmitted_ += tr.code.size();
-            emitEvent(obs::EventKind::Translate, pc_, tr.code.size());
-
-            tier::TierEngine::InstallResult ins =
-                tier_->installTranslation(
-                    pc_, tr.code, cycleBase_ + breakdown_.total());
-            translateLatency_.record(breakdown_.total() - miss_start);
-            if (ins.dtb.evicted) {
-                dtbResidency_.record(ins.dtb.victimResidency);
-                dtbEvictOccupancy_.record(ins.dtb.setOccupancy);
-                emitEvent(obs::EventKind::DtbEvict, ins.dtb.victimTag,
-                          ins.dtb.unitsNeeded);
-            }
-            if (ins.invalidatedTrace)
-                emitEvent(obs::EventKind::TraceInvalidate,
-                          ins.dtb.victimTag);
-            if (!ins.dtb.retained)
-                emitEvent(obs::EventKind::DtbReject, pc_,
-                          ins.dtb.unitsNeeded);
-            code = &tr.code;
+        if (backedge && tier_->wantsRecording(meta, pc_)) {
+            tier_->beginRecording(pc_);
+            emitEvent(obs::EventKind::TraceRecord, pc_);
         }
-
-        ++dirInstrs_;
-        if (config_.captureAddressTrace)
-            addressTrace_.push_back(pc_);
-        prevPc_ = pc_;
-        uint64_t next =
-            executeShortSequence(*code, config_.timing.tauD);
-        if (next == haltBitAddr)
-            halted_ = true;
-        else
-            pc_ = next;
     }
+
+    ++dirInstrs_;
+    if (config_.captureAddressTrace)
+        addressTrace_.push_back(pc_);
+    prevPc_ = pc_;
+    uint64_t next = executeShortSequence(*code, fetch_cost);
+    if (next == haltBitAddr)
+        halted_ = true;
+    else
+        pc_ = next;
     return hit_idx;
 }
 
@@ -748,8 +669,8 @@ Machine::tieredStep()
 // batch into a Pending is the exact per-step sum the switch loops above
 // would have applied, and anything they cannot run from a lowered image
 // — misses, cold sites, active trace recording, unfastable shapes —
-// falls back to exactly one switch-path step (dtbStep/tieredStep), so
-// cold-path accounting has a single implementation.
+// falls back to exactly one switch-path step (dtbStep), so cold-path
+// accounting has a single implementation.
 // Byte-identity across modes is enforced by tests/dispatch_test.cc.
 
 void
@@ -787,197 +708,6 @@ Machine::ensureSeqLowered(uint32_t idx)
         fs.gen = gen;
     }
     return &fs;
-}
-
-void
-Machine::runDtbFast()
-{
-    const uint32_t *vm_code = flat_.code.data();
-    const int64_t *vm_imm = flat_.imm.data();
-    const uint64_t tau1 = config_.timing.tau1;
-    const uint64_t tau2 = config_.timing.tau2;
-    const uint64_t tau_d = config_.timing.tauD;
-    const uint64_t level1_words = mem_.level1Words();
-    const uint64_t stack_base = config_.layout.stackBase;
-    const uint64_t stack_words = config_.layout.stackWords;
-    const bool capture = config_.captureAddressTrace;
-    Dtb *const dtb = dtb_;
-    auto &r = regs_;
-
-    // Pending step-level charges plus register-resident micro-op
-    // charges (n, sem_mem, l1, l2). "Now" on the switch path is
-    // breakdown_.total(); here it is drained + cyc + n*tau1 + sem_mem,
-    // where cyc mirrors p.cycles() so the loop head never has to sum
-    // the Pending buckets.
-    Pending p;
-    uint64_t drained = breakdown_.total();
-    uint64_t cyc = 0;
-    uint64_t n = 0, sem_mem = 0, l1 = 0, l2 = 0;
-    // Step-level buckets mirrored in never-address-taken locals so the
-    // per-step bumps stay in registers (p's address escapes into
-    // drainPending, so p fields would be memory RMWs).
-    uint64_t d_dir = 0, d_disp = 0, d_stage = 0, d_short = 0;
-    uint64_t sp = sp_;
-    uint64_t pc = pc_;
-    int64_t *stk = mem_.raw() + stack_base;
-    uint64_t budget_left = config_.maxDirInstrs - dirInstrs_.value();
-    uint64_t sample_at = sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
-    size_t vm_i = 0, vm_ii = 0;
-    uint32_t vm_w = 0;
-    // The sequence executed last step: its inline cache predicts the
-    // DTB slot of the pc about to be looked up.
-    FastSeq *site = nullptr;
-    FastSeq *fs = nullptr;
-    uint32_t idx = 0;
-    uint64_t next = 0;
-
-#define VM_FLUSH()                                                     \
-    do {                                                               \
-        uint64_t vm_sem = n * tau1 + sem_mem;                          \
-        p.microOps += n;                                               \
-        p.semantic += vm_sem;                                          \
-        p.level1 += l1;                                                \
-        p.level2 += l2;                                                \
-        p.dirInstrs += d_dir;                                          \
-        p.dispatch += d_disp;                                          \
-        p.stage += d_stage;                                            \
-        p.shortInstrs += d_short;                                      \
-        cyc += vm_sem;                                                 \
-        n = sem_mem = l1 = l2 = 0;                                     \
-        d_dir = d_disp = d_stage = d_short = 0;                        \
-        sp_ = sp;                                                      \
-        pc_ = pc;                                                      \
-    } while (0)
-#define VM_BAIL()                                                      \
-    do {                                                               \
-        VM_FLUSH();                                                    \
-        drainPending(p);                                               \
-    } while (0)
-
-    while (!halted_) {
-        {
-            uint64_t now = drained + cyc + n * tau1 + sem_mem;
-            if (now >= sliceLimit_)
-                break;
-            if (now >= sample_at) {
-                VM_BAIL();
-                drained = breakdown_.total();
-                cyc = 0;
-                budget_left =
-                    config_.maxDirInstrs - dirInstrs_.value();
-                takeSample();
-                sample_at = nextSampleAt_;
-            }
-        }
-        if (d_dir >= budget_left) {
-            VM_BAIL();
-            fatal("DIR instruction budget exhausted (%llu)",
-                  static_cast<unsigned long long>(config_.maxDirInstrs));
-        }
-
-        // Inline-cache probe, then a full — still side-effect-free —
-        // DTB probe. Nothing is charged or counted unless the fast
-        // step commits below.
-        if (site && site->icTag == pc &&
-            dtb->icCheck(site->icIdx, pc)) {
-            idx = site->icIdx;
-        } else {
-            idx = dtb->probeIdx(pc);
-            if (idx != UINT32_MAX && site) {
-                site->icTag = pc;
-                site->icIdx = idx;
-            }
-        }
-        fs = nullptr;
-        if (idx != UINT32_MAX) {
-            fs = ensureSeqLowered(idx);
-            if (!fs->fastable || sp + fs->pushes.size() > stack_words)
-                fs = nullptr;
-        }
-        if (!fs) {
-            // True DTB miss (translation) or an unfastable shape: one
-            // full switch-path step (the lookup counts its hit or miss
-            // exactly as always), then re-prime the inline cache from
-            // its outcome so the chain re-forms.
-            VM_BAIL();
-            {
-                uint64_t lookup_pc = pc;
-                uint32_t hit = dtbStep(false);
-                if (hit != UINT32_MAX) {
-                    if (site) {
-                        site->icTag = lookup_pc;
-                        site->icIdx = hit;
-                    }
-                    site = ensureSeqLowered(hit);
-                } else {
-                    site = nullptr;
-                }
-            }
-            drained = breakdown_.total();
-            cyc = 0;
-            budget_left = config_.maxDirInstrs - dirInstrs_.value();
-            sample_at = sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
-            sp = sp_;
-            pc = pc_;
-            stk = mem_.raw() + stack_base;
-            continue;
-        }
-
-        // Committed fast hit — same accounting as lookup()'s hit branch
-        // plus the sequence's statically known charges.
-        dtb->hitAt(idx);
-        ++d_dir;
-        if (capture)
-            addressTrace_.push_back(pc);
-        {
-            uint64_t add = tau_d + fs->dispatchAdd; // tau_d: the lookup
-            d_disp += add;
-            d_stage += fs->stageAdd;
-            cyc += add + fs->stageAdd;
-        }
-        l1 += fs->level1Add;
-        d_short += fs->shortCount;
-
-        {
-            const int64_t *pv = fs->pushes.data();
-            size_t np = fs->pushes.size();
-            for (size_t k = 0; k < np; ++k)
-                stk[sp + k] = pv[k];
-            sp += np;
-        }
-
-        if (fs->routineEntry >= 0) {
-            vm_i = static_cast<size_t>(fs->routineEntry);
-            goto vm_enter;
-        }
-    seq_done:
-        if (fs->stackNext) {
-            if (sp == 0) {
-                // The switch path fatals before charging the pop.
-                d_disp -= tau1;
-                cyc -= tau1;
-                --l1;
-                VM_BAIL();
-                fatal("operand stack underflow");
-            }
-            next = static_cast<uint64_t>(stk[--sp]);
-        } else {
-            next = fs->nextImm;
-        }
-        site = fs;
-        if (next == haltBitAddr)
-            halted_ = true;
-        else
-            pc = next;
-    }
-    VM_BAIL();
-    return;
-
-#define VM_DONE_GOTO goto seq_done
-#include "uhm/vm_ops.inc"
-#undef VM_DONE_GOTO
-#undef VM_BAIL
-#undef VM_FLUSH
 }
 
 uint64_t
@@ -1117,7 +847,7 @@ Machine::executeTraceFast(const FastTrace &ft, Pending &p)
 }
 
 void
-Machine::runTieredFast()
+Machine::runDtbFast()
 {
     const uint32_t *vm_code = flat_.code.data();
     const int64_t *vm_imm = flat_.imm.data();
@@ -1129,13 +859,23 @@ Machine::runTieredFast()
     const uint64_t stack_words = config_.layout.stackWords;
     const bool capture = config_.captureAddressTrace;
     Dtb *const dtb = dtb_;
+    // The tier engine (Tiered only): its recorder, trace dispatch and
+    // backedge profile are the only parts this loop adds for it.
+    tier::TierEngine *const tier = tier_.get();
     auto &r = regs_;
 
+    // Pending step-level charges plus register-resident micro-op
+    // charges (n, sem_mem, l1, l2). "Now" on the switch path is
+    // breakdown_.total(); here it is drained + cyc + n*tau1 + sem_mem,
+    // where cyc mirrors p.cycles() so the loop head never has to sum
+    // the Pending buckets.
     Pending p;
     uint64_t drained = breakdown_.total();
     uint64_t cyc = 0;
     uint64_t n = 0, sem_mem = 0, l1 = 0, l2 = 0;
-    // Register-resident step buckets; see runDtbFast.
+    // Step-level buckets mirrored in never-address-taken locals so the
+    // per-step bumps stay in registers (p's address escapes into
+    // drainPending, so p fields would be memory RMWs).
     uint64_t d_dir = 0, d_disp = 0, d_stage = 0, d_short = 0;
     uint64_t sp = sp_;
     uint64_t pc = pc_;
@@ -1145,6 +885,8 @@ Machine::runTieredFast()
     uint64_t sample_at = sampleEvery_ ? nextSampleAt_ : UINT64_MAX;
     size_t vm_i = 0, vm_ii = 0;
     uint32_t vm_w = 0;
+    // The sequence executed last step: its inline cache predicts the
+    // DTB slot of the pc about to be looked up.
     FastSeq *site = nullptr;
     FastSeq *fs = nullptr;
     uint32_t idx = 0;
@@ -1195,10 +937,13 @@ Machine::runTieredFast()
                   static_cast<unsigned long long>(config_.maxDirInstrs));
         }
 
-        // While the recorder is active every step must pass through it:
-        // keep to the switch path (recording windows are short).
+        // Inline-cache probe, then a full — still side-effect-free —
+        // DTB probe. Nothing is charged or counted unless the fast
+        // step commits below. While a trace recorder is active every
+        // step must pass through it: keep to the switch path
+        // (recording windows are short).
         idx = UINT32_MAX;
-        if (!tier_->recording()) {
+        if (!tier || !tier->recording()) {
             if (site && site->icTag == pc &&
                 dtb->icCheck(site->icIdx, pc)) {
                 idx = site->icIdx;
@@ -1217,10 +962,14 @@ Machine::runTieredFast()
                 fs = nullptr;
         }
         if (!fs) {
+            // True DTB miss (translation), an unfastable shape or an
+            // active recording: one full switch-path step (the lookup
+            // counts its hit or miss exactly as always), then re-prime
+            // the inline cache from its outcome so the chain re-forms.
             VM_BAIL();
             {
                 uint64_t lookup_pc = pc;
-                uint32_t hit = tieredStep();
+                uint32_t hit = dtbStep();
                 if (hit != UINT32_MAX) {
                     if (site) {
                         site->icTag = lookup_pc;
@@ -1242,11 +991,12 @@ Machine::runTieredFast()
             continue;
         }
 
-        // Committed hit.
+        // Committed fast hit — same accounting as lookup()'s hit branch
+        // plus the sequence's statically known charges.
         dtb->hitAt(idx);
-        d_disp += tau_d;
+        d_disp += tau_d; // the lookup
         cyc += tau_d;
-        {
+        if (tier) {
             EntryMeta &meta = dtb->metaAt(idx);
             bool backedge = pc <= prev_pc;
             if (backedge)
@@ -1258,12 +1008,12 @@ Machine::runTieredFast()
                 uint64_t add = tau_d + config_.tier.dispatchCycles;
                 d_disp += add;
                 cyc += add;
-                if (const tier::Trace *trace = tier_->lookupTrace(pc)) {
+                if (const tier::Trace *trace = tier->lookupTrace(pc)) {
                     ++traceEnters_;
                     FastTrace *ft = nullptr;
                     uint32_t tidx = 0;
                     uint32_t tgen = 0;
-                    if (tier_->cache().refOf(pc, tidx, tgen)) {
+                    if (tier->cache().refOf(pc, tidx, tgen)) {
                         ft = &fastTraces_[tidx];
                         if (ft->gen != tgen) {
                             lowerFastTrace(*trace, flat_, tau_d, tau1,
@@ -1300,8 +1050,8 @@ Machine::runTieredFast()
                 // Stale anchor (cleared by lookupTrace): fall through
                 // to the ordinary tier-1 sequence path.
             }
-            if (backedge && tier_->wantsRecording(meta, pc))
-                tier_->beginRecording(pc);
+            if (backedge && tier->wantsRecording(meta, pc))
+                tier->beginRecording(pc);
         }
 
         ++d_dir;
@@ -1333,6 +1083,7 @@ Machine::runTieredFast()
     seq_done:
         if (fs->stackNext) {
             if (sp == 0) {
+                // The switch path fatals before charging the pop.
                 d_disp -= tau1;
                 cyc -= tau1;
                 --l1;
@@ -1666,16 +1417,11 @@ Machine::runSlice(uint64_t max_cycles)
         start + max_cycles;
 
     if (useFastLoops()) {
-        if (config_.kind == MachineKind::Tiered)
-            runTieredFast();
-        else if (config_.kind == MachineKind::Dtb)
+        if (dtb_)
             runDtbFast();
         else
             runConventionalFast();
-    } else if (config_.kind == MachineKind::Tiered) {
-        runTiered();
-    } else if (config_.kind == MachineKind::Dtb ||
-               config_.kind == MachineKind::Dtb2) {
+    } else if (dtb_) {
         runDtb();
     } else {
         runConventionalOrCached();

@@ -391,20 +391,21 @@ class Machine
     // ---- execution loops ---------------------------------------------------
     void runConventionalOrCached();
     void runDtb();
-    void runTiered();
 
     /**
-     * One switch-path iteration of the Dtb/Dtb2 loop (sampler gate,
-     * budget check, lookup or miss flow, sequence execution). The fast
-     * loop calls it for every instruction it cannot run from a lowered
-     * image, so cold paths have exactly one accounting implementation.
+     * One switch-path iteration of the Figure 4 INTERP flow for the Dtb,
+     * Dtb2 and Tiered kinds (sampler gate, budget check, lookup or miss
+     * flow, sequence execution). The parts beyond the Dtb organization
+     * hang off the components the machine owns: the first-level buffer
+     * (dtbL1_) adds its lookup and promotion, the tier engine (tier_)
+     * adds the recorder hook, backedge profiling, trace dispatch and the
+     * insert that invalidates a victim's trace. The fast loop calls it
+     * for every instruction it cannot run from a lowered image, so cold
+     * paths have exactly one accounting implementation.
      * @return the main-DTB entry index that hit, or UINT32_MAX (miss,
      *         or an L1-buffer hit in two-level mode).
      */
-    uint32_t dtbStep(bool two_level);
-
-    /** One switch-path iteration of the Tiered loop; same contract. */
-    uint32_t tieredStep();
+    uint32_t dtbStep();
 
     // ---- fast-run dispatch (DispatchMode::Threaded) ------------------------
     /** The fast loops are in force for this config and machine kind. */
@@ -425,11 +426,8 @@ class Machine
      *  relowered first if the entry's generation moved on. */
     FastSeq *ensureSeqLowered(uint32_t idx);
 
-    /** Run the flat micro-routine starting at stream index @p entry
-     *  (computed-goto dispatch), accounting into @p p. */
-
+    /** Fast loop of the Dtb and Tiered kinds. */
     void runDtbFast();
-    void runTieredFast();
     void runConventionalFast();
 
     /** Fast-path mirror of executeTrace over a lowered image. */
@@ -531,7 +529,7 @@ class Machine
     std::vector<FastTrace> fastTraces_;
     /** Lowered conventional-path instructions, by image index. */
     std::vector<FastConv> convFast_;
-    /** Semantic routines by id, resolved once per run at beginRun so
+    /** Semantic routines by id, resolved once in the constructor so
      *  the interpreter loops index a raw-pointer table per CALL instead
      *  of going through the bounds-checked RoutineLibrary::byId. */
     std::vector<const MicroRoutine *> routinePtrs_;

@@ -2,7 +2,7 @@
  * @file
  * Randomized differential tests: generated Contour programs must
  * behave identically under direct HLR interpretation and under every
- * encoding x machine-organization combination.
+ * encoding x machine-organization x dispatch-engine combination.
  */
 
 #include <gtest/gtest.h>
@@ -62,15 +62,28 @@ TEST_P(FuzzDifferential, HlrAndAllMachinePathsAgree)
                                   EncodingScheme::Quantized}) {
         auto image = encodeDir(prog, scheme);
         for (MachineKind kind : {MachineKind::Conventional,
-                                 MachineKind::Dtb, MachineKind::Dtb2,
-                                 MachineKind::Tiered}) {
-            MachineConfig mc;
-            mc.kind = kind;
-            Machine machine(*image, mc);
-            RunResult r = machine.run(input);
-            ASSERT_EQ(r.output, reference)
-                << encodingName(scheme) << " / "
-                << machineKindName(kind);
+                                 MachineKind::Cached, MachineKind::Dtb,
+                                 MachineKind::Dtb2, MachineKind::Tiered}) {
+            // Both engines, at the default DTB size and at one small
+            // enough to force evictions: the switch engine must match
+            // the HLR, and the threaded engine must simulate the
+            // identical machine.
+            for (uint64_t dtb_bytes :
+                 {DtbConfig{}.capacityBytes, uint64_t{256}}) {
+                SCOPED_TRACE(std::string(encodingName(scheme)) + " / " +
+                             machineKindName(kind) + " / dtb " +
+                             std::to_string(dtb_bytes));
+                MachineConfig mc;
+                mc.kind = kind;
+                mc.dtb.capacityBytes = dtb_bytes;
+                RunResult r = Machine(*image, mc).run(input);
+                ASSERT_EQ(r.output, reference);
+                mc.dispatch = DispatchMode::Threaded;
+                RunResult t = Machine(*image, mc).run(input);
+                ASSERT_EQ(t.output, r.output);
+                ASSERT_EQ(t.cycles, r.cycles);
+                ASSERT_EQ(t.counters, r.counters);
+            }
         }
     }
 }

@@ -182,6 +182,53 @@ TEST(Parser, GarbageStatementIsFatal)
     EXPECT_THROW(parse("program p; begin od; end."), FatalError);
 }
 
+/** `x := (((...1...)))` with @p depth pairs of parentheses. */
+std::string
+nestedParens(unsigned depth)
+{
+    return "program p; var x; begin x := " + std::string(depth, '(') +
+        "1" + std::string(depth, ')') + "; write x; end.";
+}
+
+/** @p depth `if 1 then ... fi` statements nested around one write. */
+std::string
+nestedIfs(unsigned depth)
+{
+    std::string src = "program p; begin ";
+    for (unsigned i = 0; i < depth; ++i)
+        src += "if 1 then ";
+    src += "write 1; ";
+    for (unsigned i = 0; i < depth; ++i)
+        src += "fi; ";
+    return src + "end.";
+}
+
+TEST(Parser, DeepNestingIsFatal)
+{
+    // The block, its statement list and the innermost expression open
+    // three levels around the nest itself.
+    const unsigned fits = Parser::maxNestingDepth - 3;
+    EXPECT_NO_THROW(parse(nestedParens(fits)));
+    EXPECT_NO_THROW(parse(nestedIfs(fits)));
+    EXPECT_NO_THROW(compileSource(nestedParens(fits)));
+    EXPECT_NO_THROW(compileSource(nestedIfs(fits)));
+    EXPECT_THROW(parse(nestedParens(fits + 1)), FatalError);
+    EXPECT_THROW(parse(nestedIfs(fits + 1)), FatalError);
+    EXPECT_THROW(parse(nestedIfs(10000)), FatalError);
+    EXPECT_THROW(parse("program p; begin write " + std::string(10000, '-') +
+                       "1; end."),
+                 FatalError);
+    try {
+        parse(nestedParens(10000));
+        ADD_FAILURE() << "10,000 nested parentheses parsed";
+    } catch (const FatalError &e) {
+        // "line:column: message"
+        EXPECT_EQ(std::string(e.what()).rfind("1:", 0), 0u) << e.what();
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+                  std::string::npos) << e.what();
+    }
+}
+
 TEST(Parser, AllSamplesParse)
 {
     for (const auto &sample : workload::samplePrograms())

@@ -224,7 +224,16 @@ TEST(ServeDaemon, CompileEncodeAndErrorVerbs)
     EXPECT_FALSE(typo.ok);
     EXPECT_EQ(typo.error, "bad_request");
 
-    serve::Response after = client.call(R"({"id":6,"verb":"ping"})");
+    // Source nested past the parser's depth cap is a bad request, not a
+    // stack overflow that takes the daemon down.
+    serve::Response deep = client.call(
+        R"({"id":6,"verb":"run","source":"program p; var x; begin x := )" +
+        std::string(10000, '(') + "1" + std::string(10000, ')') +
+        R"(; write x; end."})");
+    EXPECT_FALSE(deep.ok);
+    EXPECT_EQ(deep.error, "bad_request");
+
+    serve::Response after = client.call(R"({"id":7,"verb":"ping"})");
     EXPECT_TRUE(after.ok);
 
     server.stop();
